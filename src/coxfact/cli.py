@@ -11,18 +11,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 
 import numpy as np
 
 from .cache import prime_group
-from .groups import GroupConstructionError, build_group, product_of
+from .groups import GroupConstructionError, GroupElement, build_group, product_of
 from .monodromy import (
     CenteredPolynomial,
     coxeter_loop,
     critical_values,
+    equivariance_check,
     explore_fiber,
+    random_polynomial,
     rlbl,
     sample_equivariance_polynomial,
 )
@@ -167,26 +170,20 @@ def _run_rlbl(args) -> int:
 
 def _brute_reduced(m: int) -> set:
     """All reduced reflection factorizations of the reference loop, brute force."""
-    from itertools import combinations, product
-
-    from .groups import GroupElement
-
     transpositions = []
-    for i, j in combinations(range(m), 2):
+    for i, j in itertools.combinations(range(m), 2):
         perm = list(range(m))
         perm[i], perm[j] = perm[j], perm[i]
         transpositions.append(GroupElement(tuple(perm), (0,) * m, 1))
     target = coxeter_loop(m)
     return {
         tup
-        for tup in product(transpositions, repeat=m - 1)
+        for tup in itertools.product(transpositions, repeat=m - 1)
         if product_of(*tup) == target
     }
 
 
 def _run_fiber(args) -> int:
-    from .monodromy import random_polynomial
-
     rng = np.random.default_rng(args.seed)
     p = random_polynomial(args.degree, rng)
     result = explore_fiber(p)
@@ -221,8 +218,6 @@ def _run_fiber(args) -> int:
 
 
 def _run_equivariance(args) -> int:
-    from .monodromy import equivariance_check
-
     rng = np.random.default_rng(args.seed)
     results = []
     passes = 0
@@ -312,6 +307,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def entrypoint(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    for option, least in (("degree", 2), ("seed", 0), ("trials", 1)):  # ll only
+        value = getattr(args, option, least)
+        if value < least:
+            print(f"error: --{option} must be at least {least}, got {value}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

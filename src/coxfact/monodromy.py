@@ -20,13 +20,14 @@ directly with the factorization and braid-move machinery.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupElement, compose, conjugate, inverse, product_of
+from .groups import GroupElement, conjugate, product_of
 
 __all__ = [
     "CenteredPolynomial",
@@ -55,7 +56,7 @@ ROOT_RESIDUAL_TOL = 1e-10   # times scale: |p'| at a polished critical point
 MIN_STEP = 1e-12            # adaptive tracking step floor
 
 # Orientation of the configuration half-turn that realizes the forward braid
-# move on labels; fixed once by the equivariance calibration below.
+# move on labels; test_forward_swap_realizes_forward_braid_move pins it.
 FORWARD_ORIENTATION = +1
 
 
@@ -118,48 +119,77 @@ class Configuration:
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(mu for _, mu in self.points)
 
-    def expanded(self) -> tuple[complex, ...]:
-        return tuple(
-            v for v, mu in self.points for _ in range(mu)
-        )
-
 
 def _lex_key(z: complex):
     return (z.real, z.imag)
 
 
-# -- critical points and values --------------------------------------------------
+# -- Newton on a whole root vector ---------------------------------------------------
 
 
-def _polish_root(coeffs, dcoeffs, z, max_iter=60):
-    for _ in range(max_iter):
-        f = np.polyval(coeffs, z)
-        df = np.polyval(dcoeffs, z)
-        if df == 0:
-            return z
+def _horner(coeffs, x):  # np.polyval's ufunc sequence, without its call overhead
+    y = np.zeros(x.shape, dtype=x.dtype)
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
+def _abs(z):  # equals scalar abs() bit for bit; np.abs on arrays (SIMD) does not
+    return np.hypot(z.real, z.imag)
+
+
+def _newton(coeffs, dcoeffs, zs, tol, guard=None):
+    """Newton on each root until |step| < tol * max(1, |z|), at most 60 steps.
+
+    Root by root, the arithmetic of a scalar Newton loop over np.polyval.
+    Polishing (guard None): a root with p'(z) == 0 stops where it is, and an
+    unconverged root is returned as it stands.  Tracking (guard a float):
+    returns None if any root meets p'(z) == 0, takes a step above guard, or
+    ends 60 steps with its last step still above 1e-9 * max(1, |z|).
+    """
+    z = x = np.array(zs, dtype=complex)
+    active = np.arange(len(z))
+    for _ in range(60):
+        f, df = _horner(coeffs, x), _horner(dcoeffs, x)
+        flat = df == 0
+        if flat.any():
+            if guard is not None:
+                return None
+            active, x, f, df = active[~flat], x[~flat], f[~flat], df[~flat]
         step = f / df
-        z = z - step
-        if abs(step) < 1e-14 * max(1.0, abs(z)):
-            break
+        size = _abs(step)
+        if guard is not None and (size > guard).any():
+            return None
+        x = x - step
+        z[active] = x
+        bound = np.fmax(1.0, _abs(x))
+        done = size < tol * bound
+        if done.all():
+            return z
+        if done.any():
+            active, x, size, bound = (a[~done] for a in (active, x, size, bound))
+    if guard is not None and not (size < 1e-9 * bound).all():
+        return None
     return z
+
+
+# -- critical points and values --------------------------------------------------
 
 
 def critical_points(p: CenteredPolynomial) -> tuple[complex, ...]:
     """Roots of p', polished by Newton, sorted by the value they map to."""
     dcoeffs = np.polyder(p.descending())
-    d2 = np.polyder(dcoeffs)
-    raw = np.roots(dcoeffs)
-    pts = [_polish_root(dcoeffs, d2, z) for z in raw]
-    for z in pts:
-        if abs(np.polyval(dcoeffs, z)) > ROOT_RESIDUAL_TOL * p.scale:
-            raise TrackingError("critical-point polish did not converge")
-    return tuple(sorted(pts, key=lambda z: _lex_key(complex(p(z)))))
+    pts = _newton(dcoeffs, np.polyder(dcoeffs), np.roots(dcoeffs), 1e-14)
+    if (_abs(_horner(dcoeffs, pts)) > ROOT_RESIDUAL_TOL * p.scale).any():
+        raise TrackingError("critical-point polish did not converge")
+    keys = [_lex_key(complex(v)) for v in p(pts)]
+    return tuple(pts[j] for j in sorted(range(len(pts)), key=keys.__getitem__))
 
 
 def critical_values(p: CenteredPolynomial) -> Configuration:
     """The multiset of critical values, clustered at 1e-7 * scale."""
     pts = critical_points(p)
-    values = [complex(p(z)) for z in pts]
+    values = [complex(v) for v in p(np.array(pts))]
     tol = CLUSTER_TOL * p.scale
     k = len(values)
     parent = list(range(k))
@@ -202,44 +232,20 @@ def critical_value_jacobian(p: CenteredPolynomial) -> np.ndarray:
 
 
 def _min_pairwise(zs) -> float:
-    return min(
-        abs(a - b) for a, b in itertools.combinations(zs, 2)
-    )
-
-
-def _newton_root(coeffs, dcoeffs, z, guard):
-    for _ in range(60):
-        f = np.polyval(coeffs, z)
-        df = np.polyval(dcoeffs, z)
-        if df == 0:
-            return None
-        step = f / df
-        if abs(step) > guard:
-            return None
-        z = z - step
-        if abs(step) < 1e-12 * max(1.0, abs(z)):
-            return z
-    return z if abs(step) < 1e-9 * max(1.0, abs(z)) else None
+    return min(abs(a - b) for a, b in itertools.combinations(zs, 2))
 
 
 def _track_leg(coeff_fn, zs):
     """Continue the full root vector of coeff_fn(s) from s=0 to s=1."""
-    zs = [complex(z) for z in zs]
+    zs = np.array(zs, dtype=complex)
     many = len(zs) > 1
     s, ds = 0.0, 0.125
     while s < 1.0:
         target = min(s + ds, 1.0)
         coeffs = coeff_fn(target)
-        dcoeffs = np.polyder(coeffs)
         guard = 0.4 * _min_pairwise(zs) if many else math.inf
-        new = []
-        for z in zs:
-            zn = _newton_root(coeffs, dcoeffs, z, guard)
-            if zn is None or (many and abs(zn - z) > guard):
-                new = None
-                break
-            new.append(zn)
-        if new is not None:
+        new = _newton(coeffs, np.polyder(coeffs), zs, 1e-12, guard)
+        if new is not None and not (many and (_abs(new - zs) > guard).any()):
             zs, s = new, target
             ds = min(ds * 1.6, 0.25)
         else:
@@ -280,9 +286,8 @@ def _circle_path(p_desc, center, radius, theta0, orientation):
     base = np.array(p_desc, dtype=complex)
 
     def fn(s):
-        t = center + radius * cmath.exp(1j * (theta0 + orientation * 2 * math.pi * s))
         c = base.copy()
-        c[-1] -= t
+        c[-1] -= center + radius * cmath.exp(1j * (theta0 + orientation * 2 * math.pi * s))
         return c
 
     return fn
@@ -291,18 +296,19 @@ def _circle_path(p_desc, center, radius, theta0, orientation):
 def _fiber_at(p_desc, t):
     coeffs = np.array(p_desc, dtype=complex)
     coeffs[-1] -= t
-    dcoeffs = np.polyder(coeffs)
-    roots = [
-        _polish_root(coeffs, dcoeffs, z) for z in np.roots(coeffs)
-    ]
+    roots = _newton(coeffs, np.polyder(coeffs), np.roots(coeffs), 1e-14)
     return sorted((complex(z) for z in roots), key=_lex_key)
 
 
 # -- the fixed m-cycle ------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def coxeter_loop(m: int) -> GroupElement:
-    """Monodromy of z^m over the counterclockwise unit circle, lex-labeled at t=1."""
+    """Monodromy of z^m over the counterclockwise unit circle, lex-labeled at t=1.
+
+    Memoized, so each degree is tracked once per process.
+    """
     if m < 2:
         raise ValueError("degree must be at least 2")
     desc = np.zeros(m + 1, dtype=complex)
@@ -539,7 +545,7 @@ def swap_motion(values, index: int, orientation: int = +1):
 def _ordered_critical_values(p: CenteredPolynomial, anchors=None):
     """Critical values ordered to continue anchors (or lex-sorted if None)."""
     pts = critical_points(p)
-    values = [complex(p(z)) for z in pts]
+    values = [complex(v) for v in p(np.array(pts))]
     if anchors is None:
         return sorted(values, key=_lex_key), pts
     if len(anchors) != len(values):
@@ -573,7 +579,6 @@ def lift_path(p0: CenteredPolynomial, motion) -> CenteredPolynomial:
     sep_floor = SEPARATION_TOL * scale
     coeffs = np.array(p0.coeffs, dtype=complex)
 
-    current, _ = _ordered_critical_values(p0)
     targets0 = [complex(v) for v in motion(0.0)]
     if len(targets0) != m - 1 or _min_pairwise(targets0) < sep_floor:
         raise RegularityError("motion does not start at a regular configuration")
@@ -644,15 +649,14 @@ def _require_regular(p: CenteredPolynomial):
 def explore_fiber(p0: CenteredPolynomial) -> dict:
     """All polynomials sharing p0's critical values, found by braid-move lifts.
 
-    Breadth-first closure under lifts of the adjacent half-turn swaps in
-    both orientations; members are deduplicated by coefficient distance.
-    Returns the members, their labels, and the label-injectivity verdict.
+    Breadth-first closure under lifts of the forward adjacent half-turn
+    swaps, deduplicated by coefficient distance.  Each swap permutes the
+    finite fiber, so its inverse is a positive power of it: forward closure
+    reaches the orbit of both orientations with half the lifts.  Returns
+    the members, their labels, and the label-injectivity verdict.
     """
-    _require_regular(p0)
     scale = p0.scale
-    values = sorted(
-        (complex(v) for v in critical_values(p0).centers), key=_lex_key
-    )
+    values = sorted((complex(v) for v in _require_regular(p0).centers), key=_lex_key)
     k = len(values)
     members: list[CenteredPolynomial] = [p0]
     frontier = [p0]
@@ -661,25 +665,21 @@ def explore_fiber(p0: CenteredPolynomial) -> dict:
         for p in frontier:
             base, _ = _ordered_critical_values(p, anchors=values)
             for i in range(1, k):
-                for orientation in (+1, -1):
-                    lifted = lift_path(p, swap_motion(base, i, orientation))
-                    dists = [
-                        max(
-                            abs(a - b)
-                            for a, b in zip(lifted.coeffs, q.coeffs)
-                        )
-                        for q in members
-                    ]
-                    nearest = min(dists) if dists else math.inf
-                    if nearest < DEDUP_TOL * scale:
-                        continue
-                    if nearest < 10 * DEDUP_TOL * scale:
-                        raise FiberAmbiguityError(
-                            f"fiber candidates separated by {nearest:.3g}, inside "
-                            f"the ambiguity band of {DEDUP_TOL * scale:.3g}"
-                        )
-                    members.append(lifted)
-                    new.append(lifted)
+                lifted = lift_path(p, swap_motion(base, i))
+                dists = [
+                    max(abs(a - b) for a, b in zip(lifted.coeffs, q.coeffs))
+                    for q in members
+                ]
+                nearest = min(dists) if dists else math.inf
+                if nearest < DEDUP_TOL * scale:
+                    continue
+                if nearest < 10 * DEDUP_TOL * scale:
+                    raise FiberAmbiguityError(
+                        f"fiber candidates separated by {nearest:.3g}, inside "
+                        f"the ambiguity band of {DEDUP_TOL * scale:.3g}"
+                    )
+                members.append(lifted)
+                new.append(lifted)
         frontier = new
     labels = tuple(rlbl(p) for p in members)
     return {

@@ -10,6 +10,7 @@ import random
 import numpy as np
 import pytest
 
+from coxfact import monodromy
 from coxfact.factorizations import enumerate_red
 from coxfact.groups import GroupElement, compose, conjugate, inverse, product_of
 from coxfact.monodromy import (
@@ -92,6 +93,26 @@ def test_coxeter_loop_matches_rotation_oracle():
         loop = coxeter_loop(m)
         assert loop.perm == expected
         assert sorted(len(c) for c in loop.cycles()) == [m]
+
+
+def test_rlbl_tracks_the_reference_loop_once_per_degree(monkeypatch):
+    # coxeter_loop is memoized, so a second rlbl at the same degree tracks
+    # exactly one leg fewer than the first: the unit circle of z^m
+    legs = []
+    track = monodromy._track_leg
+    monkeypatch.setattr(
+        monodromy, "_track_leg", lambda fn, zs: legs.append(fn) or track(fn, zs)
+    )
+    coxeter_loop.cache_clear()
+    p = CenteredPolynomial((-3, 0))
+    first = rlbl(p)
+    cold = len(legs)
+    second = rlbl(p)
+    assert second == first
+    assert cold - (len(legs) - cold) == 1
+    before = len(legs)
+    assert coxeter_loop(3) == coxeter_loop(3)
+    assert len(legs) == before
 
 
 def test_jacobian_frozen_cubic():
@@ -351,11 +372,18 @@ def test_explore_fiber_cubic_matches_group_enumeration():
     assert set(out["labels"]) == transported
 
 
-def test_explore_fiber_quartic():
+def test_explore_fiber_quartic(monkeypatch):
+    lifts = []
+    lift = monodromy.lift_path
+    monkeypatch.setattr(
+        monodromy, "lift_path", lambda p, motion: lifts.append(p) or lift(p, motion)
+    )
     rng = random.Random(0)
     p = random_polynomial(4, rng)
     out = explore_fiber(p)
     assert out["size"] == 16
+    # forward lifts only: one per member and adjacent swap of 3 values
+    assert len(lifts) == out["size"] * 2
     assert out["labels_injective"]
     assert set(out["labels"]) == brute_reduced_factorizations(4)
 

@@ -273,3 +273,33 @@ def test_cli_failure_exit_is_wired_to_first_failure(capsys, monkeypatch, tmp_pat
     assert run_cli("group", "info", "--d", 1, "--r", 1, "--n", 3, "--out", out) == 1
     assert "rigged_identity" in capsys.readouterr().err
     assert read_json(out)["verdicts"][0]["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ll", "fiber", "--degree", "1"),
+        ("ll", "equivariance", "--degree", "1"),
+        ("ll", "rlbl", "--degree", "1", "--coeffs="),
+        ("ll", "fiber", "--degree", "3", "--seed", "-1"),
+        ("ll", "equivariance", "--degree", "3", "--trials", "0"),
+    ],
+    ids=lambda argv: " ".join(argv[1:]),
+)
+def test_cli_rejects_invalid_ll_request_in_one_line(argv):
+    import subprocess
+    import sys
+
+    import coxfact
+
+    done = subprocess.run(
+        [sys.executable, "-m", "coxfact.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(coxfact.__file__).parents[1])},
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert done.stdout == ""
